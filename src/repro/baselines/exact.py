@@ -19,11 +19,12 @@ with three prunes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil
 
 from repro.baselines.minimal_feasible import minimal_feasible_slots
 from repro.core.schedule import Schedule
-from repro.flow.feasibility import extract_schedule
+from repro.flow.feasibility import elementary_segments, extract_schedule
 from repro.flow.incremental import make_prober, reference_probe
 from repro.instances.jobs import Instance
 from repro.util.errors import InfeasibleInstanceError, SolverError
@@ -42,17 +43,35 @@ class SlotClass:
 
 
 def slot_classes(instance: Instance) -> list[SlotClass]:
-    """Group slots by coverage signature, most-covered classes first."""
-    by_signature: dict[frozenset[int], list[int]] = {}
-    for t in instance.slots():
-        sig = frozenset(
-            j.id for j in instance.jobs if j.release <= t < j.deadline
-        )
-        if sig:
-            by_signature.setdefault(sig, []).append(t)
+    """Group slots by coverage signature, most-covered classes first.
+
+    Built from the elementary segments
+    (:func:`~repro.flow.feasibility.elementary_segments`): every slot of
+    a segment has the same signature, so one sweep over the at most
+    ``2n - 1`` segments, adding the jobs released and dropping the jobs
+    due at each cut, merges them into classes without visiting a slot.
+    """
+    if instance.n == 0:
+        return []
+    points, lo, hi = elementary_segments(instance)
+    cuts = points.tolist()
+    starting: list[list[int]] = [[] for _ in cuts]
+    ending: list[list[int]] = [[] for _ in cuts]
+    for job, a, b in zip(instance.jobs, lo.tolist(), hi.tolist()):
+        starting[a].append(job.id)
+        ending[b].append(job.id)
+    by_signature: dict[frozenset[int], list[range]] = {}
+    covering: set[int] = set()
+    for k in range(len(cuts) - 1):
+        covering.difference_update(ending[k])
+        covering.update(starting[k])
+        if covering:
+            by_signature.setdefault(frozenset(covering), []).append(
+                range(cuts[k], cuts[k + 1])
+            )
     classes = [
-        SlotClass(slots=tuple(sorted(slots)), jobs=tuple(sorted(sig)))
-        for sig, slots in by_signature.items()
+        SlotClass(slots=tuple(chain.from_iterable(runs)), jobs=tuple(sorted(sig)))
+        for sig, runs in by_signature.items()
     ]
     classes.sort(key=lambda c: (-len(c.jobs), c.slots))
     return classes

@@ -11,6 +11,7 @@ from repro.flow.csr import (
 from repro.flow.dinic import MaxFlow
 from repro.flow.feasibility import (
     all_slots_feasible,
+    elementary_segments,
     extract_schedule,
     node_assignment,
     node_feasible,
@@ -44,6 +45,7 @@ __all__ = [
     "slot_feasible",
     "extract_schedule",
     "all_slots_feasible",
+    "elementary_segments",
     "node_feasible",
     "node_assignment",
     "node_prober",

@@ -1,29 +1,34 @@
 """Flow-based feasibility tests and schedule extraction.
 
-Two levels of granularity:
+Three levels of granularity:
 
-* **Slot level** — given an arbitrary set of active slots, build the
-  bipartite network ``s → jobs → slots → t`` with capacities
-  ``(p_j, 1, g)`` and test ``maxflow == Σ p_j`` (the classic reduction
-  mentioned in the paper's introduction; works for *any* instance,
-  laminar or not).
+* **Segment level** — the feasibility test for an arbitrary set of
+  active slots (laminar or not).  The time line is cut at every release
+  and deadline into at most ``2n - 1`` *elementary segments*; slots in
+  one segment lie in the same windows, so they are interchangeable and
+  only their number matters.  The network is ``s → jobs → segments →
+  t`` with capacities ``(p_j, c_k, g·c_k)``, where ``c_k`` counts the
+  active slots in segment ``k``, and the test is ``maxflow == Σ p_j``.
+  Its size depends on ``n`` only, never on the horizon ``T``.
+* **Slot level** — the classic bipartite network ``s → jobs → slots →
+  t`` with capacities ``(p_j, 1, g)`` from the paper's introduction.
+  It has one node per active slot, so it is built only where a
+  per-slot answer is needed: :func:`extract_schedule`.
 * **Node level** — given a per-node open-slot count ``x̃`` on the window
   forest, build the paper's Lemma 4.1 network ``s → jobs → nodes → t``
-  with capacities ``(p_j, x̃(i), g·x̃(i))``.  Equivalent to slot level for
-  laminar instances because slots in a node's exclusive region are
-  interchangeable, and much smaller.
+  with capacities ``(p_j, x̃(i), g·x̃(i))``.  The same interchangeability
+  argument as the segment level, on the canonical tree.
 
-Both builders assemble their edge lists as flat arrays and add them in
-one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call, in the same
-global order the historical per-edge loops used — so edge ids are
-identical across the ``csr`` and ``object`` kernels
-(:mod:`repro.flow.csr`) and flow extraction vectorizes over the
+All builders assemble their edge lists as flat arrays and add them in
+one :meth:`~repro.flow.dinic.MaxFlow.add_edges` call, in a fixed global
+order — so edge ids are identical across the ``csr`` and ``object``
+kernels (:mod:`repro.flow.csr`) and flow extraction vectorizes over the
 resulting id arrays.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +37,94 @@ from repro.flow.csr import flow_network
 from repro.flow.dinic import MaxFlow
 from repro.instances.jobs import Instance
 from repro.tree.node import WindowForest
+
+
+# ---------------------------------------------------------------------------
+# Segment level
+# ---------------------------------------------------------------------------
+
+
+def _job_arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(release, deadline, processing)`` of every job, in job order."""
+    n = instance.n
+    jobs = instance.jobs
+    return (
+        np.fromiter((j.release for j in jobs), dtype=np.int64, count=n),
+        np.fromiter((j.deadline for j in jobs), dtype=np.int64, count=n),
+        np.fromiter((j.processing for j in jobs), dtype=np.int64, count=n),
+    )
+
+
+def elementary_segments(
+    instance: Instance,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the time line at every release and deadline.
+
+    Returns ``(points, lo, hi)``: segment ``k`` is the slot run
+    ``[points[k], points[k + 1])``, and the job at position ``i`` covers
+    exactly the segments ``lo[i] <= k < hi[i]``.  Every slot of a segment
+    lies in the same set of windows.  There are at most ``2n - 1``
+    segments, whatever the horizon.
+    """
+    rels, deads, _ = _job_arrays(instance)
+    points = np.unique(np.concatenate([rels, deads]))
+    return (
+        points,
+        np.searchsorted(points, rels),
+        np.searchsorted(points, deads),
+    )
+
+
+def _segment_feasible(instance: Instance, active: np.ndarray | None) -> bool:
+    """Max-flow test on ``s → job (p_j) → segment (c_k) → t (g·c_k)``.
+
+    ``active`` is a sorted array of distinct slots, or ``None`` for every
+    slot; ``c_k`` counts its slots in elementary segment ``k``.
+    Segments without an active slot get no arcs.
+    """
+    points, lo, hi = elementary_segments(instance)
+    counts = np.diff(
+        points if active is None else np.searchsorted(active, points)
+    )
+    n = instance.n
+    source = n + counts.size
+    sink = source + 1
+    # One (job, segment) pair per segment of each job's window, job by job.
+    span = hi - lo
+    job_of = np.repeat(np.arange(n), span)
+    seg = lo[job_of] + (
+        np.arange(int(span.sum())) - np.repeat(np.cumsum(span) - span, span)
+    )
+    used = counts[seg] > 0
+    job_of, seg = job_of[used], seg[used]
+    open_seg = np.flatnonzero(counts)
+    net = flow_network(sink + 1)
+    net.add_edges(
+        np.concatenate([np.full(n, source), job_of, n + open_seg]),
+        np.concatenate([np.arange(n), n + seg, np.full(open_seg.size, sink)]),
+        np.concatenate(
+            [_job_arrays(instance)[2], counts[seg], instance.g * counts[open_seg]]
+        ),
+    )
+    return net.max_flow(source, sink) == instance.total_volume
+
+
+def slot_feasible(instance: Instance, active: Iterable[int]) -> bool:
+    """Can all jobs be scheduled using only the given active slots?
+
+    Duplicates in ``active`` count once; slots outside every window are
+    ignored.
+    """
+    if instance.n == 0:
+        return True
+    return _segment_feasible(
+        instance, np.unique(np.fromiter(active, dtype=np.int64))
+    )
+
+
+def all_slots_feasible(instance: Instance) -> bool:
+    """Is the instance feasible at all (every slot active)?"""
+    return instance.n == 0 or _segment_feasible(instance, None)
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +147,7 @@ def _slot_network(
     source = n_jobs + n_slots
     sink = source + 1
     net = flow_network(sink + 1)
-    rels = np.fromiter(
-        (j.release for j in instance.jobs), dtype=np.int64, count=n_jobs
-    )
-    deads = np.fromiter(
-        (j.deadline for j in instance.jobs), dtype=np.int64, count=n_jobs
-    )
-    procs = np.fromiter(
-        (j.processing for j in instance.jobs), dtype=np.int64, count=n_jobs
-    )
+    rels, deads, procs = _job_arrays(instance)
     # Window slots of job k are the contiguous run slots[lo[k]:hi[k]].
     lo = np.searchsorted(slots, rels, side="left")
     hi = np.searchsorted(slots, deads, side="left")
@@ -102,14 +187,6 @@ def _slot_network(
     return net, meta, source, sink
 
 
-def slot_feasible(instance: Instance, active: Sequence[int]) -> bool:
-    """Can all jobs be scheduled using only the given active slots?"""
-    if instance.n == 0:
-        return True
-    net, _, s, t = _slot_network(instance, active)
-    return net.max_flow(s, t) == instance.total_volume
-
-
 def extract_schedule(
     instance: Instance, active: Sequence[int]
 ) -> Schedule | None:
@@ -127,11 +204,6 @@ def extract_schedule(
     for k in carrying.tolist():
         assignment[jobs[job_pos[k]].id].append(int(slot[k]))
     return Schedule.from_assignment(instance, assignment)
-
-
-def all_slots_feasible(instance: Instance) -> bool:
-    """Is the instance feasible at all (every slot active)?"""
-    return slot_feasible(instance, list(instance.slots()))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,8 @@ def _verify_laminar(
 ) -> None:
     from repro.core.algorithm import solve_nested
 
-    result = solve_nested(instance, backend=backend)
+    # verify_instance has already run the all-slots pre-check.
+    result = solve_nested(instance, backend=backend, check_feasibility=False)
     canonical = result.canonical
     forest = canonical.forest
     tr = result.transformed

@@ -1,16 +1,46 @@
 """Unit tests for the exact branch-and-bound solver."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.baselines.exact import (
     BudgetExceeded,
+    SlotClass,
     brute_force_optimum,
     slot_classes,
     solve_exact,
 )
-from repro.instances.generators import random_general, random_laminar
+from repro.corpus.store import iter_corpus
+from repro.instances.families import greedy_trap, natural_gap, section5_gap
+from repro.instances.generators import (
+    deep_chain,
+    random_general,
+    random_laminar,
+    wide_star,
+)
 from repro.instances.jobs import Instance, Job
 from repro.util.errors import InfeasibleInstanceError, SolverError
+
+
+CORPUS_SMOKE = Path(__file__).resolve().parents[1] / "data" / "corpus_smoke"
+
+
+def per_slot_classes(instance: Instance) -> list[SlotClass]:
+    """Reference construction: the signature of every slot, one by one."""
+    by_signature: dict[frozenset[int], list[int]] = {}
+    for t in instance.slots():
+        sig = frozenset(
+            j.id for j in instance.jobs if j.release <= t < j.deadline
+        )
+        if sig:
+            by_signature.setdefault(sig, []).append(t)
+    classes = [
+        SlotClass(slots=tuple(sorted(slots)), jobs=tuple(sorted(sig)))
+        for sig, slots in by_signature.items()
+    ]
+    classes.sort(key=lambda c: (-len(c.jobs), c.slots))
+    return classes
 
 
 class TestSlotClasses:
@@ -20,6 +50,27 @@ class TestSlotClasses:
         assert len(classes) == 2
         sizes = sorted(c.size for c in classes)
         assert sizes == [2, 2]
+
+    def test_matches_per_slot_construction_on_corpus(self):
+        instances = [e.instance() for e in iter_corpus(CORPUS_SMOKE)]
+        assert len(instances) == 450
+        for inst in instances:
+            assert slot_classes(inst) == per_slot_classes(inst), inst.name
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_slot_construction_on_generators(self, seed):
+        for inst in (
+            random_laminar(12 + seed, 2, horizon=60, seed=seed),
+            random_general(10 + seed, 2, horizon=30, seed=seed),
+            deep_chain(6 + seed, 2, seed=seed),
+            wide_star(4 + seed, 2, seed=seed),
+            section5_gap(2 + seed % 3),
+            natural_gap(2 + seed % 3),
+            greedy_trap(2 + seed % 3),
+            Instance.from_triples([(0, 2, 1), (5, 7, 1), (0, 2, 2)], g=2),
+            Instance(jobs=(), g=1),
+        ):
+            assert slot_classes(inst) == per_slot_classes(inst)
 
     def test_uncovered_slots_excluded(self):
         inst = Instance.from_triples([(0, 2, 1), (5, 7, 1)], g=1)

@@ -1,16 +1,21 @@
 """Unit tests for flow-based feasibility (slot level and Lemma 4.1 level)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.flow import feasibility
+from repro.flow.csr import FLOW_KERNELS, set_flow_kernel
 from repro.flow.feasibility import (
     all_slots_feasible,
+    elementary_segments,
     extract_schedule,
     node_assignment,
     node_feasible,
     slot_feasible,
 )
 from repro.instances.generators import random_laminar
-from repro.instances.jobs import Instance
+from repro.instances.jobs import Instance, Job
 from repro.tree.canonical import canonicalize
 
 
@@ -43,6 +48,134 @@ class TestSlotFeasibility:
 
     def test_slots_outside_windows_ignored(self, tiny_instance):
         assert slot_feasible(tiny_instance, [0, 2, 50, 60])
+
+
+def slot_level_verdict(instance: Instance, active) -> bool:
+    """Reference verdict: :func:`extract_schedule` builds the per-slot network."""
+    return extract_schedule(instance, list(active)) is not None
+
+
+def on_kernel(kernel: str, fn, *args):
+    prev = set_flow_kernel(kernel)
+    try:
+        return fn(*args)
+    finally:
+        set_flow_kernel(prev)
+
+
+@st.composite
+def general_instances(draw):
+    """Arbitrary windows (crossing allowed), possibly infeasible, n >= 0."""
+    jobs = []
+    for k in range(draw(st.integers(0, 6))):
+        release = draw(st.integers(0, 12))
+        length = draw(st.integers(1, 6))
+        jobs.append(
+            Job(
+                id=k,
+                release=release,
+                deadline=release + length,
+                processing=draw(st.integers(1, length)),
+            )
+        )
+    return Instance(jobs=tuple(jobs), g=draw(st.integers(1, 3)))
+
+
+@st.composite
+def laminar_instances(draw):
+    return random_laminar(
+        draw(st.integers(1, 10)),
+        draw(st.integers(1, 3)),
+        horizon=draw(st.integers(4, 30)),
+        seed=draw(st.integers(0, 10**6)),
+    )
+
+
+#: Active sets with duplicates and with slots outside every window.
+active_sets = st.lists(st.integers(-3, 35), max_size=30)
+
+
+class TestSegmentLevelMatchesSlotLevel:
+    """``slot_feasible`` / ``all_slots_feasible`` run on elementary
+    segments; the per-slot network must give the same verdict."""
+
+    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    @settings(max_examples=60, deadline=None)
+    @given(inst=general_instances(), active=active_sets)
+    def test_general(self, kernel, inst, active):
+        ref = on_kernel(kernel, slot_level_verdict, inst, active)
+        assert on_kernel(kernel, slot_feasible, inst, active) == ref
+        assert on_kernel(kernel, all_slots_feasible, inst) == on_kernel(
+            kernel, slot_level_verdict, inst, inst.slots()
+        )
+
+    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    @settings(max_examples=60, deadline=None)
+    @given(inst=laminar_instances(), active=active_sets)
+    def test_laminar(self, kernel, inst, active):
+        ref = on_kernel(kernel, slot_level_verdict, inst, active)
+        assert on_kernel(kernel, slot_feasible, inst, active) == ref
+        assert on_kernel(kernel, all_slots_feasible, inst)
+
+    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    @pytest.mark.parametrize(
+        "triples, g, active",
+        [
+            # duplicate active slots count once
+            ([(0, 4, 2)], 1, [1, 1, 1]),
+            ([(0, 4, 2)], 1, [1, 1, 3, 3]),
+            # slots outside every window (gap, before, after) are ignored
+            ([(0, 2, 1), (5, 7, 1)], 1, [-4, 2, 3, 4, 9]),
+            ([(0, 2, 1), (5, 7, 1)], 1, [3, 6, 1, 40]),
+            # empty active set
+            ([(0, 3, 1)], 2, []),
+            # jobs sharing endpoints
+            ([(0, 3, 2), (3, 6, 2), (0, 6, 3), (0, 6, 1)], 2, [0, 1, 3, 4]),
+            ([(0, 3, 2), (3, 6, 2), (0, 6, 3), (0, 6, 1)], 2, [1, 2, 3, 4, 5]),
+            ([(2, 5, 3)] * 3, 3, [2, 3, 4]),
+        ],
+    )
+    def test_edge_cases(self, kernel, triples, g, active):
+        inst = Instance.from_triples(triples, g=g)
+        assert on_kernel(kernel, slot_feasible, inst, active) == on_kernel(
+            kernel, slot_level_verdict, inst, active
+        )
+
+    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    def test_no_jobs(self, kernel):
+        inst = Instance(jobs=(), g=1)
+        for active in ([], [0, 0, 5]):
+            assert on_kernel(kernel, slot_feasible, inst, active)
+            assert on_kernel(kernel, slot_level_verdict, inst, active)
+        assert on_kernel(kernel, all_slots_feasible, inst)
+
+    def test_segments_cut_at_every_endpoint(self):
+        inst = Instance.from_triples([(0, 6, 1), (2, 4, 1), (2, 9, 1)], g=1)
+        points, lo, hi = elementary_segments(inst)
+        assert points.tolist() == [0, 2, 4, 6, 9]
+        assert lo.tolist() == [0, 1, 1]
+        assert hi.tolist() == [3, 2, 4]
+
+    @pytest.mark.parametrize("kernel", FLOW_KERNELS)
+    def test_network_size_independent_of_horizon(self, kernel, monkeypatch):
+        """On a long-horizon instance (about 100 jobs, 10 windows, 8000
+        slots) the pre-check network has at most ``n + 2n + 2`` nodes."""
+        sizes: list[int] = []
+        real = feasibility.flow_network
+
+        def recording(n, **kw):
+            sizes.append(n)
+            return real(n, **kw)
+
+        inst = random_laminar(
+            100, 4, horizon=8000, n_windows=10, p_max=20, seed=3
+        )
+        assert inst.horizon.length >= 4000
+        monkeypatch.setattr(feasibility, "flow_network", recording)
+        assert on_kernel(kernel, all_slots_feasible, inst)
+        on_kernel(kernel, slot_feasible, inst, range(0, 8000, 3))
+        assert len(sizes) == 2
+        assert all(size <= inst.n + 2 * inst.n + 2 for size in sizes)
 
 
 class TestExtractSchedule:
