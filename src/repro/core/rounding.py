@@ -23,11 +23,6 @@ from repro.util.numeric import EPS, SUM_EPS
 APPROX_FACTOR = 9.0 / 5.0
 
 
-def _floor_on_I(value: float) -> float:
-    """Initial value on the topmost set ``I``: ``⌊x(i)⌋`` (EPS-guarded)."""
-    return float(floor(value + EPS))
-
-
 def _integral_off_I(value: float, node: int) -> float:
     """Initial value off ``I``: the value itself, asserted integral.
 
@@ -85,33 +80,59 @@ def round_solution(
 
     ``x`` must satisfy the Lemma 3.1 invariant; ``topmost`` is its set
     ``I``.  Fractional values occur only on ``I`` (integral elsewhere).
-    """
-    m = forest.m
-    x_tilde = np.empty(m, dtype=float)
-    tops = set(topmost)
-    for i in range(m):
-        x_tilde[i] = _floor_on_I(x[i]) if i in tops else _integral_off_I(x[i], i)
 
-    # Anc(I): every node with an I-node in its subtree (I-nodes included).
-    anc_of_i: set[int] = set()
-    for i in topmost:
-        anc_of_i.update(forest.ancestors(i))
+    Subtree sums are taken over contiguous preorder slices (the same
+    elements in the same order as ``x[Des(i)]``), and the next round-up
+    candidate of a subtree comes from a skip pointer over preorder
+    positions: a node stops being a candidate once it is rounded up.
+    """
+    x = np.asarray(x, dtype=float)
+    m = forest.m
+    in_top = np.zeros(m, dtype=bool)
+    in_top[list(topmost)] = True
+    # On I: ⌊x⌋ (EPS-guarded).  Off I: x itself, asserted integral; exact
+    # integers pass through as is (``+ 0.0`` turns -0.0 into 0.0, as
+    # ⌊v + 1/2⌋ does), the rest go through the checked rounding.
+    x_tilde = np.where(in_top, np.floor(x + EPS), x + 0.0)
+    for i in np.flatnonzero(~in_top & (x != np.floor(x))).tolist():
+        x_tilde[i] = _integral_off_I(x[i], i)
+
+    pre = forest.preorder
+    xp = x[forest.pre]
+    xtp = x_tilde[forest.pre]
+    # skip[p]: a preorder position at or before the next candidate
+    # (a floored I-node) at or after p; m marks "none left".
+    candidate = (in_top & (x_tilde < x - EPS))[forest.pre]
+    skip = [p if candidate[p] else p + 1 for p in range(m)] + [m]
+
+    def next_candidate(p: int) -> int:
+        q = p
+        while skip[q] != q:
+            q = skip[q]
+        while skip[p] != q:
+            skip[p], p = q, skip[p]
+        return q
 
     rounded_up: list[int] = []
-    # Bottom-to-top = postorder restricted to Anc(I).
+    # Bottom-to-top = postorder restricted to Anc(I): every node with an
+    # I-node in its subtree (I-nodes included).
+    in_anc = forest.above_marked(in_top)
     for i in forest.postorder:
-        if i not in anc_of_i:
+        if not in_anc[i]:
             continue
-        des = forest.descendants(i)
-        x_sum = float(x[des].sum())
-        while APPROX_FACTOR * x_sum >= float(x_tilde[des].sum()) + 1.0 - SUM_EPS:
-            candidate = next(
-                (k for k in des if k in tops and x_tilde[k] < x[k] - EPS), None
-            )
-            if candidate is None:
+        lo, hi = forest.tin[i], forest.tout[i]
+        p = next_candidate(lo)
+        if p >= hi:
+            continue  # nothing left to round up, whatever the budget
+        x_sum = float(xp[lo:hi].sum())
+        while APPROX_FACTOR * x_sum >= float(xtp[lo:hi].sum()) + 1.0 - SUM_EPS:
+            k = pre[p]
+            x_tilde[k] = xtp[p] = ceil(x[k] - EPS)
+            skip[p] = p + 1
+            rounded_up.append(k)
+            p = next_candidate(lo)
+            if p >= hi:
                 break
-            x_tilde[candidate] = ceil(x[candidate] - EPS)
-            rounded_up.append(candidate)
 
     budget_ok = float(x_tilde.sum()) <= APPROX_FACTOR * float(x.sum()) + SUM_EPS
     return RoundingResult(
@@ -136,13 +157,15 @@ def classify_topmost(
       instead of guessing a side.
     """
     types: dict[int, str] = {}
+    xp = np.asarray(x, dtype=float)[forest.pre]
+    xtp = np.asarray(x_tilde, dtype=float)[forest.pre]
     for i in topmost:
-        des = forest.descendants(i)
-        xs = float(x[des].sum())
+        des = slice(forest.tin[i], forest.tout[i])
+        xs = float(xp[des].sum())
         if abs(xs - 1.0) <= SUM_EPS or xs >= 4.0 / 3.0 - SUM_EPS:
             types[i] = "B"
         else:
-            xt = float(x_tilde[des].sum())
+            xt = float(xtp[des].sum())
             if abs(xt - 1.0) <= SUM_EPS:
                 types[i] = "C1"
             elif abs(xt - 2.0) <= SUM_EPS:

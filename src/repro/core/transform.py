@@ -51,23 +51,25 @@ def push_down(
     are saturated; mass only ever moves downward, and a node that keeps
     mass has a fully saturated subtree, so no later step re-violates it.
     """
-    x = x.astype(float).copy()
-    y = y.astype(float).copy()
-    lengths = np.array([forest.length(i) for i in range(forest.m)], dtype=float)
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    lengths = forest.lengths.astype(float)
+    neg_depth = -forest.depth_array[forest.pre]
     moves = 0
     for i1 in forest.preorder:
-        if x[i1] <= EPS:
+        lo, hi = forest.tin[i1] + 1, forest.tout[i1]
+        if x[i1] <= EPS or lo == hi:
             continue
-        # Deepest-first so mass lands as low as possible.
-        for i2 in sorted(
-            forest.strict_descendants(i1), key=lambda k: -forest.depth[k]
-        ):
+        # Deepest-first so mass lands as low as possible; the stable sort
+        # keeps preorder among equal depths.  Only i1 and the node being
+        # filled change, so each slack can be read up front.
+        below = forest.pre[lo:hi][np.argsort(neg_depth[lo:hi], kind="stable")]
+        slack = lengths[below] - x[below]
+        keep = slack > EPS
+        for i2, room in zip(below[keep].tolist(), slack[keep].tolist()):
             if x[i1] <= EPS:
                 break
-            slack = lengths[i2] - x[i2]
-            if slack <= EPS:
-                continue
-            theta = min(slack, x[i1])
+            theta = min(room, x[i1])
             frac = theta / x[i1]
             moved = frac * y[i1, :]
             y[i1, :] -= moved
@@ -77,24 +79,19 @@ def push_down(
             moves += 1
     x = snap_vector(x)
     y[np.abs(y) < EPS] = 0.0
-    topmost = [
-        i
-        for i in range(forest.m)
-        if x[i] > EPS
-        and all(x[a] <= EPS for a in forest.strict_ancestors(i))
-    ]
+    positive = x > EPS
+    topmost = np.flatnonzero(positive & ~forest.below_marked(positive)).tolist()
     return TransformedLP(x=x, y=y, topmost=topmost, moves=moves)
 
 
 def verify_pushdown_invariant(forest: WindowForest, x: np.ndarray) -> bool:
-    """Check the Lemma 3.1 property on a solution."""
-    for i1 in range(forest.m):
-        if x[i1] <= EPS:
-            continue
-        for i2 in forest.strict_descendants(i1):
-            if x[i2] < forest.length(i2) - EPS:
-                return False
-    return True
+    """Check the Lemma 3.1 property on a solution.
+
+    No node with ``x > 0`` may have a strict descendant with ``x < L``.
+    """
+    x = np.asarray(x, dtype=float)
+    short = x < forest.lengths - EPS
+    return not (short & forest.below_marked(x > EPS)).any()
 
 
 def verify_claim1(forest: WindowForest, x: np.ndarray, topmost: list[int]) -> list[str]:

@@ -407,11 +407,13 @@ class ClassFlowProber:
         self.g = g
         source = n_jobs + len(buckets)
         sink = source + 1
-        engine = IncrementalFlow(sink + 1, source, sink)
+        # Probes repair and re-augment a few units at a time; the CSR
+        # kernel pays a sparse set-up on every augment, the object
+        # kernel does not.
+        engine = IncrementalFlow(sink + 1, source, sink, kernel="object")
         self._buckets = [list(b) for b in buckets]
         # One bulk append (source edges, then per bucket its job edges
-        # and sink edge) — same edge ids as the per-edge loop, but the
-        # CSR kernel defers adjacency-list construction entirely.
+        # and sink edge) — same edge ids as the per-edge loop.
         us: list[int] = [source] * n_jobs
         vs: list[int] = list(range(n_jobs))
         caps: list[float] = list(processings)

@@ -65,7 +65,12 @@ class Job:
 
     def with_window(self, release: int, deadline: int) -> "Job":
         """Copy of this job with a (typically shrunk) window."""
-        return replace(self, release=release, deadline=deadline)
+        return Job(
+            id=self.id,
+            release=release,
+            deadline=deadline,
+            processing=self.processing,
+        )
 
 
 @dataclass(frozen=True)
@@ -142,9 +147,8 @@ class Instance:
 
     def require_laminar(self) -> None:
         """Raise :class:`NotLaminarError` unless windows are laminar."""
-        pair = crossing_pair(self.windows)
-        if pair is not None:
-            a, b = pair
+        if not self.is_laminar:
+            a, b = crossing_pair(self.windows)
             raise NotLaminarError(
                 f"windows [{a.start},{a.end}) and [{b.start},{b.end}) cross",
                 witness=((a.start, a.end), (b.start, b.end)),

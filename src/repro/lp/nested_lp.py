@@ -206,9 +206,7 @@ def _build_vectorized(
         group_start = np.cumsum(nj) - nj
         within = np.arange(total_y, dtype=np.int64) - group_start[s_node]
         xcols = np.arange(m, dtype=np.int64)
-        lengths = np.fromiter(
-            (float(forest.length(i)) for i in range(m)), dtype=float, count=m
-        )
+        lengths = forest.lengths.astype(float)
 
         seg_nnz = 3 * nj + 2  # capacity nj+1, length 1, spread 2·nj
         seg_start = np.cumsum(seg_nnz) - seg_nnz
@@ -257,20 +255,18 @@ def _build_vectorized(
         )
 
     # (7)-(8) as one >= block over descendant x columns, same row and
-    # column order as the legacy dict loop.
+    # column order as the legacy dict loop: row i's columns are the
+    # preorder slice [tin[i], tout[i]).
     if ceiling:
         omegas = [thresholds.value(i) for i in range(m)]
         sel = [i for i in range(m) if omegas[i] >= 2]
         if sel:
-            desc = [forest.descendants(i) for i in sel]
-            lens = np.fromiter(
-                (len(d) for d in desc), dtype=np.int64, count=len(sel)
-            )
-            idx = np.fromiter(
-                (k for d in desc for k in d),
-                dtype=np.int64,
-                count=int(lens.sum()),
-            )
+            lo = forest.tin_array[sel]
+            lens = forest.tout_array[sel] - lo
+            offsets = np.cumsum(lens) - lens
+            idx = forest.pre[
+                np.arange(int(lens.sum())) + np.repeat(lo - offsets, lens)
+            ]
             lp.add_constraint_block(
                 np.ones(idx.size),
                 idx,

@@ -2,8 +2,10 @@
 
 Two instance-preserving transformations from Section 2:
 
-1. *Binarization*: a node with ``t > 2`` children gets a caterpillar of
-   virtual nodes so every node has at most 2 children.  A virtual node's
+1. *Binarization*: a node with ``t > 2`` children gets a balanced binary
+   tree of virtual hull nodes (children sorted by start, split into
+   halves recursively), so every node has at most 2 children and the
+   original children sit ``⌈log₂ t⌉`` levels below it.  A virtual node's
    interval is the hull of the children it groups; its length counts the
    gap slots between those children (the paper's ``L = 0`` is the special
    case of gap-free hulls — computing ``L`` from intervals keeps the
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.instances.jobs import Instance, Job
-from repro.tree.laminar import build_forest
+from repro.tree.laminar import forest_nodes
 from repro.tree.node import TreeNode, WindowForest
 from repro.util.intervals import Interval
 
@@ -57,28 +59,39 @@ class CanonicalInstance:
 
 
 def _binarize(nodes: list[TreeNode]) -> None:
-    """Insert virtual hull nodes until every node has at most 2 children."""
-    work = [n.index for n in nodes if len(n.children) > 2]
-    while work:
-        idx = work.pop()
-        node = nodes[idx]
-        while len(node.children) > 2:
-            kids = sorted(node.children, key=lambda c: nodes[c].start)
-            group, last = kids[:-1], kids[-1]
-            hull = Interval(nodes[group[0]].start, nodes[group[-1]].end)
-            v = TreeNode(
-                index=len(nodes),
-                interval=hull,
-                parent=idx,
-                children=list(group),
-                virtual=True,
-            )
-            nodes.append(v)
-            for c in group:
-                nodes[c].parent = v.index
-            node.children = [v.index, last]
-            if len(v.children) > 2:
-                work.append(v.index)
+    """Insert virtual hull nodes until every node has at most 2 children.
+
+    A node's children are sorted by start once and split into halves
+    recursively; each half of two or more children becomes a virtual
+    node over their hull.  A ``k``-child node thus gets ``k - 2`` virtual
+    nodes and its children end up ``⌈log₂ k⌉`` levels below it.
+    """
+    for idx in range(len(nodes)):
+        if len(nodes[idx].children) > 2:
+            kids = sorted(nodes[idx].children, key=lambda c: nodes[c].start)
+            nodes[idx].children = _split_halves(nodes, idx, kids)
+
+
+def _split_halves(nodes: list[TreeNode], parent: int, kids: list[int]) -> list[int]:
+    """Children of ``parent`` for the start-sorted group ``kids``: each half
+    is kept as is when it is a single node, else wrapped in a hull node."""
+    mid = (len(kids) + 1) // 2
+    out: list[int] = []
+    for half in (kids[:mid], kids[mid:]):
+        if len(half) == 1:
+            nodes[half[0]].parent = parent
+            out.append(half[0])
+            continue
+        v = TreeNode(
+            index=len(nodes),
+            interval=Interval(nodes[half[0]].start, nodes[half[-1]].end),
+            parent=parent,
+            virtual=True,
+        )
+        nodes.append(v)
+        v.children = _split_halves(nodes, v.index, half)
+        out.append(v.index)
+    return out
 
 
 def _make_leaves_rigid(
@@ -117,18 +130,7 @@ def _make_leaves_rigid(
 
 def canonicalize(instance: Instance) -> CanonicalInstance:
     """Build the canonical (binary, rigid-leaf) form of a laminar instance."""
-    forest, _ = build_forest(instance)
-    nodes = [
-        TreeNode(
-            index=n.index,
-            interval=n.interval,
-            parent=n.parent,
-            children=list(n.children),
-            job_ids=list(n.job_ids),
-            virtual=n.virtual,
-        )
-        for n in forest.nodes
-    ]
+    nodes, _ = forest_nodes(instance)
     jobs_by_id = {j.id: j for j in instance.jobs}
 
     _binarize(nodes)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.util.errors import InvalidInstanceError
 from repro.util.intervals import Interval
 
@@ -63,7 +65,12 @@ class WindowForest:
 
     The structure is immutable after construction; canonicalization builds a
     new forest.  Descendant sets use Euler-tour intervals (``tin``/``tout``)
-    so membership tests are O(1) and subtree iteration is contiguous.
+    so membership tests are O(1) and subtree iteration is contiguous: for
+    any per-node array ``v``, ``v[forest.pre][tin[i]:tout[i]]`` holds
+    ``v[Des(i)]`` in preorder.  ``lengths`` and ``parents`` (``-1`` for a
+    root), ``starts``, ``ends`` are precomputed arrays; ``pre``,
+    ``tin_array``, ``tout_array`` and ``depth_array`` are array copies of
+    the Euler-tour lists.
     """
 
     def __init__(self, nodes: Sequence[TreeNode]) -> None:
@@ -71,54 +78,82 @@ class WindowForest:
         self.roots: list[int] = [n.index for n in self.nodes if n.parent is None]
         self._validate()
         self._build_orders()
+        m = len(self.nodes)
+        self.parents = np.array(
+            [-1 if n.parent is None else n.parent for n in self.nodes],
+            dtype=np.int64,
+        )
+        self.starts = np.array([n.interval.start for n in self.nodes], dtype=np.int64)
+        self.ends = np.array([n.interval.end for n in self.nodes], dtype=np.int64)
+        spans = self.ends - self.starts
+        below = self.parents >= 0
+        covered = np.zeros(m, dtype=np.int64)
+        np.add.at(covered, self.parents[below], spans[below])
+        self.lengths = spans - covered
+        self.pre = np.array(self.preorder, dtype=np.int64)
+        self.tin_array = np.array(self.tin, dtype=np.int64)
+        self.tout_array = np.array(self.tout, dtype=np.int64)
+        self.depth_array = np.array(self.depth, dtype=np.int64)
 
     # -- construction-time checks and indexes ---------------------------
 
     def _validate(self) -> None:
-        for k, node in enumerate(self.nodes):
+        nodes = self.nodes
+        for k, node in enumerate(nodes):
             if node.index != k:
                 raise InvalidInstanceError(
                     f"node index {node.index} does not match position {k}"
                 )
+            iv = node.interval
             for c in node.children:
-                child = self.nodes[c]
-                if child.parent != node.index:
+                child = nodes[c]
+                if child.parent != k:
                     raise InvalidInstanceError(
                         f"child {c} of node {k} has parent {child.parent}"
                     )
-                if not node.interval.strictly_contains(child.interval):
+                civ = child.interval
+                if not (
+                    iv.start <= civ.start
+                    and civ.end <= iv.end
+                    and iv.length > civ.length
+                ):
                     raise InvalidInstanceError(
-                        f"child interval {child.interval} not strictly inside "
-                        f"{node.interval} (nodes {c} <- {k})"
+                        f"child interval {civ} not strictly inside "
+                        f"{iv} (nodes {c} <- {k})"
                     )
 
     def _build_orders(self) -> None:
         m = len(self.nodes)
+        children = [n.children for n in self.nodes]
+        parent = [n.parent for n in self.nodes]
+        # Preorder takes children left to right; the postorder is the
+        # reverse of the mirrored preorder (children right to left).
         self.preorder: list[int] = []
-        self.postorder: list[int] = []
+        stack = self.roots[::-1]
+        while stack:
+            i = stack.pop()
+            self.preorder.append(i)
+            stack.extend(reversed(children[i]))
+        mirrored: list[int] = []
+        stack = list(self.roots)
+        while stack:
+            i = stack.pop()
+            mirrored.append(i)
+            stack.extend(children[i])
+        self.postorder: list[int] = mirrored[::-1]
         self.tin = [0] * m
-        self.tout = [0] * m
         self.depth = [0] * m
-        clock = 0
-        for root in self.roots:
-            # Iterative DFS; (node, expanded?) entries.
-            stack: list[tuple[int, bool]] = [(root, False)]
-            while stack:
-                idx, expanded = stack.pop()
-                if expanded:
-                    self.postorder.append(idx)
-                    self.tout[idx] = clock
-                    continue
-                node = self.nodes[idx]
-                self.depth[idx] = (
-                    0 if node.parent is None else self.depth[node.parent] + 1
-                )
-                self.tin[idx] = clock
-                clock += 1
-                self.preorder.append(idx)
-                stack.append((idx, True))
-                for c in reversed(node.children):
-                    stack.append((c, False))
+        for k, i in enumerate(self.preorder):
+            self.tin[i] = k
+            p = parent[i]
+            if p is not None:
+                self.depth[i] = self.depth[p] + 1
+        size = [1] * m
+        for i in self.postorder:
+            p = parent[i]
+            if p is not None:
+                size[p] += size[i]
+        self.tout = [t + s for t, s in zip(self.tin, size)]
 
     # -- shape -----------------------------------------------------------
 
@@ -162,7 +197,24 @@ class WindowForest:
 
     def strict_descendants(self, i: int) -> list[int]:
         """``Des+(i)``: descendants excluding ``i``."""
-        return self.descendants(i)[1:]
+        return self.preorder[self.tin[i] + 1 : self.tout[i]]
+
+    def below_marked(self, mask: np.ndarray) -> np.ndarray:
+        """Per node: does it have a strict ancestor where ``mask`` is true?
+
+        One prefix sum over preorder: each marked node ``a`` covers the
+        preorder positions ``(tin[a], tout[a])`` of its strict descendants.
+        """
+        marked = np.flatnonzero(mask)
+        m = self.m
+        cover = np.bincount(self.tin_array[marked] + 1, minlength=m + 1)
+        cover -= np.bincount(self.tout_array[marked], minlength=m + 1)
+        return (np.cumsum(cover[:m]) > 0)[self.tin_array]
+
+    def above_marked(self, mask: np.ndarray) -> np.ndarray:
+        """Per node ``i``: does ``Des(i)`` (``i`` included) hold a marked node?"""
+        counts = np.concatenate(([0], np.cumsum(np.asarray(mask)[self.pre])))
+        return counts[self.tout_array] > counts[self.tin_array]
 
     def parent(self, i: int) -> int | None:
         return self.nodes[i].parent
@@ -181,10 +233,7 @@ class WindowForest:
         slots between children, generalizing the paper's ``L = 0``
         convention for contiguous virtual nodes).
         """
-        node = self.nodes[i]
-        return node.interval.length - sum(
-            self.nodes[c].interval.length for c in node.children
-        )
+        return int(self.lengths[i])
 
     def exclusive_slots(self, i: int) -> list[int]:
         """The concrete slots counted by ``L(i)``, in increasing order."""
@@ -226,10 +275,11 @@ class WindowForest:
 
     def validate_laminar_partition(self) -> None:
         """Assert siblings are pairwise disjoint (defensive check)."""
-        for node in self.nodes:
-            kids = sorted(node.children, key=lambda c: self.nodes[c].start)
-            for a, b in zip(kids, kids[1:]):
-                if self.nodes[a].end > self.nodes[b].start:
-                    raise InvalidInstanceError(
-                        f"sibling intervals overlap under node {node.index}"
-                    )
+        kids = np.flatnonzero(self.parents >= 0)
+        kids = kids[np.lexsort((self.starts[kids], self.parents[kids]))]
+        a, b = kids[:-1], kids[1:]
+        clash = (self.parents[a] == self.parents[b]) & (self.ends[a] > self.starts[b])
+        if clash.any():
+            node = int(self.parents[a[np.argmax(clash)]])
+            raise InvalidInstanceError(f"sibling intervals overlap under node {node}")
+

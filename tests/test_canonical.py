@@ -5,6 +5,7 @@ import pytest
 from repro.instances.generators import random_laminar, wide_star
 from repro.instances.jobs import Instance
 from repro.tree.canonical import canonicalize, is_canonical
+from repro.tree.laminar import build_forest
 
 
 class TestBinarization:
@@ -103,3 +104,47 @@ class TestCanonicalInvariants:
         canon = canonicalize(inst)
         total = sum(canon.forest.length(i) for i in range(canon.forest.m))
         assert total == len(raw_cover)
+
+
+
+class TestBalancedBinarization:
+    @pytest.mark.parametrize("k", [3, 5, 160, 1600])
+    def test_wide_star_shape(self, k):
+        inst = wide_star(k, 3, seed=k)
+        raw, _ = build_forest(inst)
+        assert len(raw.nodes[raw.roots[0]].children) == k
+        canon = canonicalize(inst)
+        forest = canon.forest
+        for node in forest.nodes:
+            assert len(node.children) <= 2
+            if node.virtual:
+                kids = sorted(forest.nodes[c].interval for c in node.children)
+                assert node.interval.start == kids[0].start
+                assert node.interval.end == kids[-1].end
+        assert max(forest.depth) <= (k - 1).bit_length() + 2  # ⌈log₂ k⌉ + 2
+        # k - 2 hull nodes over the k-child root, as many as a comb adds,
+        # plus one rigid child per shrunk job.
+        assert forest.m == raw.m + (k - 2) + len(canon.shrunk_jobs)
+
+    def test_three_children_group_the_first_two(self):
+        inst = Instance.from_triples(
+            [(0, 9, 1), (0, 3, 1), (3, 6, 1), (6, 9, 1)], g=2
+        )
+        forest = canonicalize(inst).forest
+        root = forest.nodes[forest.roots[0]]
+        hull, last = (forest.nodes[c] for c in root.children)
+        assert hull.virtual and (hull.start, hull.end) == (0, 6)
+        assert not last.virtual and (last.start, last.end) == (6, 9)
+
+    def test_ceiling_rows_grow_near_linearly(self):
+        from repro.lp.nested_lp import build_nested_lp
+
+        def nnz(k):
+            lp, _ = build_nested_lp(canonicalize(wide_star(k, 3, seed=0)))
+            parts = lp.compile()
+            return sum(
+                parts[key].nnz for key in ("A_ub", "A_eq") if parts[key] is not None
+            )
+
+        # A comb made this ratio about 4 (quadratic ceiling rows).
+        assert nnz(400) / nnz(200) <= 2.5
